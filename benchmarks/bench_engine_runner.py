@@ -170,7 +170,11 @@ def _release_run_state(runner: ExperimentRunner, table) -> None:
 
 
 def _trace_split(grid: dict) -> dict:
-    """One cold sweep separated into trace and simulate stages."""
+    """One cold sweep separated into frame, trace and simulate stages.
+
+    ``frame_s`` is scene synthesis plus pillar binning; ``trace_s`` is
+    what tracing adds on top of the cached frames (mostly rulegen).
+    """
     runner = _build_runner(grid)
     jobs = [
         (group.scenario, group.model, frame)
@@ -179,10 +183,15 @@ def _trace_split(grid: dict) -> dict:
     ]
     start = time.perf_counter()
     for job in jobs:
+        runner.frame_provider.frame_for(*job)
+    frame_s = time.perf_counter() - start
+    start = time.perf_counter()
+    for job in jobs:
         runner.trace_for(*job)
     trace_s = time.perf_counter() - start
     table, simulate_s = _timed_run(runner, parallel=False)
     split = {
+        "frame_s": frame_s,
         "trace_s": trace_s,
         "simulate_s": simulate_s,
         "trace_fraction": trace_s / (trace_s + simulate_s),
@@ -647,6 +656,7 @@ def check_sweeps(timings: dict) -> None:
     # a zero-slack hard assert that would fail on runner noise (or on a
     # legitimate further rulegen speedup flipping the trace fraction).
     split = timings["trace_split"]
+    assert split["frame_s"] > 0
     assert split["trace_s"] > 0 and split["simulate_s"] > 0
     # Batched frames do identical work to the same frames as scenarios:
     # a large gap means the batched path itself regressed (the precise

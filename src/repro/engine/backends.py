@@ -46,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
+from ..models.specs import ModelSpec, build_model_spec
 from . import telemetry
 from .cache import TraceCache
 from .registry import BACKENDS, register_backend
@@ -59,6 +60,27 @@ from .settings import (
 
 def _model_name(model) -> str:
     return getattr(model, "name", model)
+
+
+def frame_trace(cache: TraceCache, frames, scenario, model, frame: int = 0,
+                spec: ModelSpec = None, rulegen_shards=None,
+                prev_trace=None, delta_threshold=None):
+    """The trace of one frame of one (scenario, model): the frame from
+    the provider ``frames``, its trace from ``cache``.  The only
+    frame→trace path; ``spec`` defaults to the model's own."""
+    if spec is None:
+        spec = (model if isinstance(model, ModelSpec)
+                else build_model_spec(model))
+    built = frames.frame_for(scenario, model, frame)
+    return cache.get_trace(
+        spec,
+        built.coords,
+        built.point_counts.astype(float),
+        rulegen_shards=rulegen_shards,
+        prev_trace=prev_trace,
+        delta_threshold=delta_threshold,
+        label=(scenario.name, _model_name(model)),
+    )
 
 
 @dataclass(frozen=True)
@@ -498,24 +520,6 @@ def _worker_state():
     return _WORKER_CACHE, _WORKER_FRAMES
 
 
-def _worker_trace(cache, frames, scenario, model, frame,
-                  rulegen_shards=None, prev_trace=None,
-                  delta_threshold=None):
-    from ..models.specs import ModelSpec, build_model_spec
-
-    pillar_frame = frames.frame_for(scenario, model, frame)
-    spec = model if isinstance(model, ModelSpec) else build_model_spec(model)
-    return cache.get_trace(
-        spec,
-        pillar_frame.coords,
-        pillar_frame.point_counts.astype(float),
-        rulegen_shards=rulegen_shards,
-        prev_trace=prev_trace,
-        delta_threshold=delta_threshold,
-        label=(scenario.name, _model_name(model)),
-    )
-
-
 def _trace_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
                  delta_threshold=None) -> None:
     """Trace-stage work unit: warm the shared tiers with unique frames.
@@ -531,14 +535,15 @@ def _trace_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
         for scenario, model, frame_count in chunk:
             prev = None
             for frame in range(frame_count):
-                prev = _worker_trace(
-                    cache, frames, scenario, model, frame, rulegen_shards,
-                    prev_trace=prev, delta_threshold=delta_threshold,
+                prev = frame_trace(
+                    cache, frames, scenario, model, frame,
+                    rulegen_shards=rulegen_shards, prev_trace=prev,
+                    delta_threshold=delta_threshold,
                 )
         return
     for scenario, model, frame in chunk:
-        _worker_trace(cache, frames, scenario, model, frame,
-                      rulegen_shards)
+        frame_trace(cache, frames, scenario, model, frame,
+                    rulegen_shards=rulegen_shards)
 
 
 def _run_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
@@ -557,8 +562,8 @@ def _run_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
         started = time.monotonic()
         rows = execute_group(
             group,
-            lambda s, m, f, prev=None: _worker_trace(
-                cache, frames, s, m, f, rulegen_shards,
+            lambda s, m, f, prev=None: frame_trace(
+                cache, frames, s, m, f, rulegen_shards=rulegen_shards,
                 prev_trace=prev if delta_trace else None,
                 delta_threshold=delta_threshold,
             ),

@@ -52,6 +52,7 @@ from ..backends import (
     BackendUnavailable,
     _model_name,
     chunk_payload,
+    frame_trace,
     journal_of,
     observe_phase,
     observe_unit_done,
@@ -244,6 +245,8 @@ class Coordinator:
                          else deque(unit["unit"] for unit in units))
         self._inflight = {}           # unit id -> (worker, deadline)
         self._done = set()
+        # Accepted results whose spans and callbacks have also run.
+        self._booked = 0
         self._rows = {}               # group index -> [SimResult, ...]
         self._failure = None
         self._cond = threading.Condition()
@@ -317,6 +320,12 @@ class Coordinator:
         self._stop.set()
         if self._listener is not None:
             try:
+                # Wakes the accept thread at once; close() alone leaves
+                # it asleep until its accept timeout.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 self._listener.close()
             except OSError:
                 pass
@@ -337,7 +346,11 @@ class Coordinator:
         self.release_units()
         try:
             with self._cond:
-                while self._failure is None and not self._completed():
+                # Wait for the bookkeeping too, not just the results:
+                # spans, the journal, the observer and progress of each
+                # result are booked outside the lock, after it is done.
+                while (self._failure is None
+                       and self._booked < len(self._units)):
                     self._cond.wait(0.2)
                 failure = self._failure
         finally:
@@ -590,31 +603,36 @@ class Coordinator:
                     entry["completed_at"] = _utc_now()
                     break
             self._cond.notify_all()
-        # Only an *accepted* result reaches this point (duplicates
-        # returned above, still holding their spans) — so a resent
-        # unit's spans and row counts book exactly once, from
-        # whichever worker's result won, like the stats below.
-        tracer = telemetry.active_tracer()
-        spans = msg.get("spans")
-        if spans and tracer is not None:
-            tracer.ingest(spans, worker.worker_id)
-        telemetry.metrics().count(
-            "repro_rows_streamed_total",
-            sum(len(rows) for rows in decoded.values()),
-            worker=worker.worker_id,
-        )
-        # Callbacks run outside the lock; stats ride the same accepted
-        # result as the rows, so requeued units still report exactly
-        # once, from whichever worker's result won.
-        if self.on_group_done is not None:
-            for index, rows in decoded.items():
-                self.on_group_done(
-                    index, rows,
-                    float(timings.get(str(index)) or 0.0),
-                    worker.worker_id,
-                )
-        if self.on_unit_done is not None:
-            self.on_unit_done(len(decoded))
+        try:
+            # Only an *accepted* result reaches this point (duplicates
+            # returned above, still holding their spans) — so a resent
+            # unit's spans and row counts book exactly once, from
+            # whichever worker's result won, like the stats below.
+            tracer = telemetry.active_tracer()
+            spans = msg.get("spans")
+            if spans and tracer is not None:
+                tracer.ingest(spans, worker.worker_id)
+            telemetry.metrics().count(
+                "repro_rows_streamed_total",
+                sum(len(rows) for rows in decoded.values()),
+                worker=worker.worker_id,
+            )
+            # Callbacks run outside the lock; stats ride the same accepted
+            # result as the rows, so requeued units still report exactly
+            # once, from whichever worker's result won.
+            if self.on_group_done is not None:
+                for index, rows in decoded.items():
+                    self.on_group_done(
+                        index, rows,
+                        float(timings.get(str(index)) or 0.0),
+                        worker.worker_id,
+                    )
+            if self.on_unit_done is not None:
+                self.on_unit_done(len(decoded))
+        finally:
+            with self._cond:
+                self._booked += 1
+                self._cond.notify_all()
 
     def _handle_error(self, worker, msg: dict) -> None:
         unit_id = msg.get("unit")
@@ -730,8 +748,7 @@ class Coordinator:
         self._cond.notify_all()
 
     def _monitor_loop(self) -> None:
-        while not self._stop.is_set():
-            time.sleep(0.1)
+        while not self._stop.wait(0.1):
             stale = []
             with self._cond:
                 now = time.monotonic()
@@ -949,16 +966,11 @@ class DistBackend(Backend):
                 scenario, model = job
                 prev = None
                 for frame in range(scenario.frames):
-                    built = runner.frame_provider.frame_for(
-                        scenario, model, frame)
-                    prev = cache.get_trace(
-                        runner._spec_for(model),
-                        built.coords,
-                        built.point_counts.astype(float),
+                    prev = frame_trace(
+                        cache, runner.frame_provider, scenario, model,
+                        frame, spec=runner._spec_for(model),
                         rulegen_shards=runner.rulegen_shards,
-                        prev_trace=prev,
-                        delta_threshold=threshold,
-                        label=(scenario.name, _model_name(model)),
+                        prev_trace=prev, delta_threshold=threshold,
                     )
         else:
             for group in groups:
@@ -972,14 +984,9 @@ class DistBackend(Backend):
             def trace(job):
                 """Trace one (scenario, model, frame) job."""
                 scenario, model, frame = job
-                built = runner.frame_provider.frame_for(scenario, model,
-                                                        frame)
-                cache.get_trace(
-                    runner._spec_for(model),
-                    built.coords,
-                    built.point_counts.astype(float),
-                    rulegen_shards=runner.rulegen_shards,
-                )
+                frame_trace(cache, runner.frame_provider, scenario, model,
+                            frame, spec=runner._spec_for(model),
+                            rulegen_shards=runner.rulegen_shards)
 
         width = min(runner.trace_workers, len(jobs))
         if width > 1:

@@ -373,8 +373,10 @@ class Worker:
                     )[-1].strip()
                     self._log(f"unit {unit_id} failed: {detail}")
                     reply = message("error", unit=unit_id, error=detail)
-                self._send(sock, reply)
+                # Counted before the reply leaves: once the coordinator
+                # holds a result, the worker's count already includes it.
                 self.units_done += 1
+                self._send(sock, reply)
                 if (self.max_units is not None
                         and self.units_done >= self.max_units):
                     # Announce the exit so the coordinator books it as

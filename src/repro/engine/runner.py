@@ -42,6 +42,7 @@ from .backends import (
     ThreadBackend,
     WorkGroup,
     default_backend_name,
+    frame_trace,
     resolve_backend,
 )
 from .cache import TraceCache, shared_trace_cache
@@ -330,15 +331,12 @@ class ExperimentRunner:
                     "(frames > 1) need the frame-provider path"
                 )
             return self.trace_provider(scenario, self._model_name(model))
-        built = self.frame_provider.frame_for(scenario, model, frame)
-        return self.cache.get_trace(
-            self._spec_for(model),
-            built.coords,
-            built.point_counts.astype(float),
+        return frame_trace(
+            self.cache, self.frame_provider, scenario, model, frame,
+            spec=self._spec_for(model),
             rulegen_shards=self.rulegen_shards,
             prev_trace=prev_trace if self.delta_trace else None,
             delta_threshold=self.delta_threshold,
-            label=(scenario.name, self._model_name(model)),
         )
 
     def trace_chain(self, scenario: Scenario, model) -> list:
